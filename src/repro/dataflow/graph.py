@@ -82,7 +82,7 @@ class SinkSpec:
 
 @dataclass(frozen=True)
 class EdgeSpec:
-    """A keyed connection; records route by ``hash(key) % parallelism``."""
+    """A keyed connection; records route by ``stable_hash(key) % parallelism``."""
 
     src: str
     dst: str

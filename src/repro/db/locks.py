@@ -25,13 +25,20 @@ Two indexes keep the hot paths cheap and deterministic:
   new waiter can close a new cycle and only its edges need computing); the
   full per-resource rebuild runs only on queue-reordering events (upgrades
   jumping the queue, grants, victim aborts).
+
+Grant decisions are O(1): each resource keeps per-mode holder counts and
+the bitmask of the modes held (its *group mode*), and each mode carries
+the mask of the modes it conflicts with, so "does any other holder
+conflict?" is one AND instead of a scan over the holders.  An upgrading
+holder's own mode is left out of the group mask.  Only a blocked request
+scans the holders, to name the ones it waits for.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Hashable, Optional
 
 from repro.db.errors import DeadlockAbort
@@ -39,7 +46,15 @@ from repro.sim import Environment, Future
 
 
 class LockMode(enum.Enum):
-    """Lock modes; compatibility follows the textbook matrix."""
+    """Lock modes; compatibility follows the textbook matrix.
+
+    Each member also carries precomputed tables (set up below the class):
+    ``bit`` (its bit in a granted-group mask), ``index`` (its position in
+    the per-mode holder counts), ``conflicts`` (the mask of the modes it
+    conflicts with) and ``combined`` (the :func:`combine` result with each
+    mode, by index).  Grant decisions then cost a few integer operations
+    instead of hashing tuples of enum members.
+    """
 
     IS = "IS"
     IX = "IX"
@@ -47,27 +62,18 @@ class LockMode(enum.Enum):
     X = "X"
 
 
-_COMPATIBLE: dict[tuple[LockMode, LockMode], bool] = {
-    (LockMode.IS, LockMode.IS): True,
-    (LockMode.IS, LockMode.IX): True,
-    (LockMode.IS, LockMode.S): True,
-    (LockMode.IS, LockMode.X): False,
-    (LockMode.IX, LockMode.IS): True,
-    (LockMode.IX, LockMode.IX): True,
-    (LockMode.IX, LockMode.S): False,
-    (LockMode.IX, LockMode.X): False,
-    (LockMode.S, LockMode.IS): True,
-    (LockMode.S, LockMode.IX): False,
-    (LockMode.S, LockMode.S): True,
-    (LockMode.S, LockMode.X): False,
-    (LockMode.X, LockMode.IS): False,
-    (LockMode.X, LockMode.IX): False,
-    (LockMode.X, LockMode.S): False,
-    (LockMode.X, LockMode.X): False,
-}
+#: Pairs of modes that may be held simultaneously by different txns (the
+#: matrix is symmetric; every pair not listed conflicts).
+_COMPATIBLE_PAIRS = (
+    (LockMode.IS, LockMode.IS),
+    (LockMode.IS, LockMode.IX),
+    (LockMode.IS, LockMode.S),
+    (LockMode.IX, LockMode.IX),
+    (LockMode.S, LockMode.S),
+)
 
 # Upgrade lattice: the mode that covers both (SIX simplified to X).
-_COMBINE: dict[tuple[LockMode, LockMode], LockMode] = {
+_COMBINE = {
     (LockMode.IS, LockMode.IX): LockMode.IX,
     (LockMode.IS, LockMode.S): LockMode.S,
     (LockMode.IS, LockMode.X): LockMode.X,
@@ -77,16 +83,33 @@ _COMBINE: dict[tuple[LockMode, LockMode], LockMode] = {
 }
 
 
+def _build_mode_tables() -> None:
+    modes = list(LockMode)
+    for index, mode in enumerate(modes):
+        mode.index = index
+        mode.bit = 1 << index
+    for mode in modes:
+        mode.conflicts = 0
+        for other in modes:
+            if (mode, other) not in _COMPATIBLE_PAIRS and (other, mode) not in _COMPATIBLE_PAIRS:
+                mode.conflicts |= other.bit
+        mode.combined = tuple(
+            mode if other is mode else _COMBINE.get((mode, other)) or _COMBINE[(other, mode)]
+            for other in modes
+        )
+
+
+_build_mode_tables()
+
+
 def combine(held: LockMode, wanted: LockMode) -> LockMode:
     """The weakest mode covering both ``held`` and ``wanted``."""
-    if held == wanted:
-        return held
-    return _COMBINE.get((held, wanted)) or _COMBINE.get((wanted, held)) or LockMode.X
+    return held.combined[wanted.index]
 
 
 def compatible(a: LockMode, b: LockMode) -> bool:
     """Whether two modes may be held simultaneously by different txns."""
-    return _COMPATIBLE[(a, b)]
+    return not a.conflicts & b.bit
 
 
 @dataclass
@@ -97,10 +120,53 @@ class _Waiter:
     upgrade: bool
 
 
-@dataclass
 class _LockState:
-    holders: dict[int, LockMode] = field(default_factory=dict)
-    queue: Deque[_Waiter] = field(default_factory=deque)
+    """One resource's holders, wait queue and granted-group mode.
+
+    ``counts[mode.index]`` is the number of holders in each mode and
+    ``mask`` the OR of the bits of the modes with a nonzero count, so a
+    conflict check is one AND against the requester's conflict mask.
+    """
+
+    __slots__ = ("holders", "queue", "counts", "mask")
+
+    def __init__(self) -> None:
+        self.holders: dict[int, LockMode] = {}
+        self.queue: Deque[_Waiter] = deque()
+        self.counts = [0, 0, 0, 0]
+        self.mask = 0
+
+    def blocks(self, tid: int, mode: LockMode) -> int:
+        """Nonzero when a holder other than ``tid`` conflicts with ``mode``.
+
+        An upgrading holder's own mode is left out of the group unless
+        another holder shares it.
+        """
+        others = self.mask
+        held = self.holders.get(tid)
+        if held is not None and self.counts[held.index] == 1:
+            others ^= held.bit
+        return others & mode.conflicts
+
+    def hold(self, tid: int, mode: LockMode) -> None:
+        """Grant ``mode`` to ``tid``, combined with any mode it holds."""
+        counts = self.counts
+        held = self.holders.get(tid)
+        if held is not None:
+            mode = held.combined[mode.index]
+            counts[held.index] -= 1
+            if not counts[held.index]:
+                self.mask ^= held.bit
+        self.holders[tid] = mode
+        counts[mode.index] += 1
+        self.mask |= mode.bit
+
+    def unhold(self, tid: int) -> None:
+        held = self.holders.pop(tid, None)
+        if held is not None:
+            self.counts[held.index] -= 1
+            if not self.counts[held.index]:
+                self.mask ^= held.bit
 
 
 @dataclass
@@ -131,20 +197,24 @@ class LockManager:
         Fails with :class:`DeadlockAbort` if waiting would close a cycle.
         Callers must release with :meth:`release_all` on commit and abort.
         """
-        state = self._locks.setdefault(resource, _LockState())
-        fut = self.env.future(label=f"lock:{resource}:{mode.value}")
+        state = self._locks.get(resource)
+        if state is None:
+            state = self._locks[resource] = _LockState()
+        fut = self.env.future(label="lock")
 
         held = state.holders.get(tid)
         upgrade = False
         if held is not None:
-            wanted = combine(held, mode)
-            if wanted == held:
+            wanted = held.combined[mode.index]
+            if wanted is held:
                 fut.succeed(None)
                 return fut
             mode = wanted
             upgrade = True
 
-        if self._grantable(state, tid, mode, upgrade):
+        # FIFO fairness: a new request does not jump over waiters; an
+        # upgrade does (see below).
+        if not state.blocks(tid, mode) and (upgrade or not state.queue):
             self._grant(state, tid, resource, mode)
             fut.succeed(None)
             return fut
@@ -164,11 +234,7 @@ class LockManager:
         # holders plus every pending waiter ahead of it), so only it can
         # close a *new* cycle — one edge-set computation and at most one
         # DFS, instead of a rebuild plus a DFS per waiter.
-        edges = {
-            holder
-            for holder, held_mode in state.holders.items()
-            if holder != tid and not compatible(held_mode, mode)
-        }
+        edges = self._conflicting_holders(state, tid, mode)
         edges.update(w.tid for w in state.queue if w.tid != tid and not w.future.done)
         self._waits_for[tid] = edges
         cycle = self._find_cycle(tid)
@@ -176,20 +242,12 @@ class LockManager:
             self._abort_victim(resource, state, waiter, cycle)
         return fut
 
-    def _grantable(self, state: _LockState, tid: int, mode: LockMode, upgrade: bool) -> bool:
-        conflict = any(
-            holder != tid and not compatible(held_mode, mode)
-            for holder, held_mode in state.holders.items()
-        )
-        if conflict:
-            return False
-        if state.queue and not upgrade:
-            return False  # FIFO fairness: don't jump over waiters
-        return True
-
     def _grant(self, state: _LockState, tid: int, resource: Hashable, mode: LockMode) -> None:
-        state.holders[tid] = combine(state.holders.get(tid, mode), mode)
-        self._held_by_txn.setdefault(tid, {})[resource] = None
+        state.hold(tid, mode)
+        held = self._held_by_txn.get(tid)
+        if held is None:
+            held = self._held_by_txn[tid] = {}
+        held[resource] = None
         self._waits_for.pop(tid, None)
         self.stats.acquired += 1
 
@@ -209,7 +267,7 @@ class LockManager:
                 state = self._locks.get(resource)
                 if state is None:
                     continue
-                state.holders.pop(tid, None)
+                state.unhold(tid)
                 touched.append(resource)
         if waited:
             for resource in waited:
@@ -248,18 +306,15 @@ class LockManager:
                 state.queue.popleft()
                 self._unnote_waiting(waiter.tid, resource, state)
                 continue
-            blocked = any(
-                holder != waiter.tid and not compatible(held_mode, waiter.mode)
-                for holder, held_mode in state.holders.items()
-            )
-            if blocked:
+            if state.blocks(waiter.tid, waiter.mode):
                 break
             state.queue.popleft()
             self._unnote_waiting(waiter.tid, resource, state)
             self._grant(state, waiter.tid, resource, waiter.mode)
             waiter.future.succeed(None)
-        if not state.holders and not state.queue:
-            self._locks.pop(resource, None)
+        if not state.queue:
+            if not state.holders:
+                self._locks.pop(resource, None)
             return
         self._refresh_edges(resource, state)
         self._abort_new_deadlock_victims(resource, state)
@@ -276,14 +331,20 @@ class LockManager:
         for waiter in state.queue:
             if waiter.future.done:
                 continue
-            edges = {
-                holder
-                for holder, held_mode in state.holders.items()
-                if holder != waiter.tid and not compatible(held_mode, waiter.mode)
-            }
+            edges = self._conflicting_holders(state, waiter.tid, waiter.mode)
             edges.update(w.tid for w in ahead if w.tid != waiter.tid)
             self._waits_for[waiter.tid] = edges
             ahead.append(waiter)
+
+    @staticmethod
+    def _conflicting_holders(state: _LockState, tid: int, mode: LockMode) -> set[int]:
+        """The holders other than ``tid`` whose mode conflicts with ``mode``."""
+        conflicts = mode.conflicts
+        return {
+            holder
+            for holder, held_mode in state.holders.items()
+            if holder != tid and held_mode.bit & conflicts
+        }
 
     def _abort_victim(
         self,

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Hashable, Optional
 
+from repro.cluster import stable_hash
+
 #: name -> procedure; populated by :func:`procedure` at import time.
 PROC_REGISTRY: dict[str, Callable] = {}
 
@@ -173,7 +175,7 @@ def _kv_transfer(
     src_row = ctx.get(table, src) or {"id": src, field: 0}
     dst_row = ctx.get(table, dst) or {"id": dst, field: 0}
     if work:
-        spin(work, salt=hash(amount) & 0xFFFF)
+        spin(work, salt=stable_hash(amount) & 0xFFFF)
     ctx.put(table, src, {**src_row, field: src_row.get(field, 0) - amount})
     ctx.put(table, dst, {**dst_row, field: dst_row.get(field, 0) + amount})
 

@@ -14,11 +14,18 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
+from repro.cluster import stable_hash
+
 _TOMBSTONE = object()
 
 
 class BloomFilter:
-    """A classic k-hash bloom filter over a fixed bit array."""
+    """A classic k-hash bloom filter over a fixed bit array.
+
+    Bit positions come from :func:`~repro.cluster.stable_hash`, not
+    the builtin ``hash``, so which lookups a filter rejects (and the
+    counters that record it) do not vary with ``PYTHONHASHSEED``.
+    """
 
     def __init__(self, capacity: int, bits_per_key: int = 10) -> None:
         self._num_bits = max(64, capacity * bits_per_key)
@@ -26,8 +33,8 @@ class BloomFilter:
         self._num_hashes = max(1, int(bits_per_key * 0.69))
 
     def _positions(self, key: Any) -> Iterator[int]:
-        h1 = hash(("bloom-a", key))
-        h2 = hash(("bloom-b", key)) | 1
+        h1 = stable_hash(("bloom-a", key))
+        h2 = stable_hash(("bloom-b", key)) | 1
         for i in range(self._num_hashes):
             yield (h1 + i * h2) % self._num_bits
 

@@ -281,3 +281,143 @@ class TestIncrementalDetection:
         assert lm._locks == {}
         assert lm._waiting_by_txn == {}
         assert lm._waits_for == {}
+
+
+class TestGroupModeDifferential:
+    """Grants, waits and the group mask against a brute-force holder scan."""
+
+    # The textbook matrix and upgrade lattice, written out independently of
+    # the lock manager's precomputed tables.
+    COMPATIBLE = {
+        ("IS", "IS"), ("IS", "IX"), ("IS", "S"),
+        ("IX", "IS"), ("IX", "IX"),
+        ("S", "IS"), ("S", "S"),
+    }
+    COMBINE = {
+        ("IS", "IX"): "IX", ("IS", "S"): "S", ("IS", "X"): "X",
+        ("IX", "S"): "X", ("IX", "X"): "X", ("S", "X"): "X",
+    }
+
+    def scan_conflicts(self, holders, tid, mode):
+        return {
+            holder for holder, held in holders.items()
+            if holder != tid and (held.value, mode.value) not in self.COMPATIBLE
+        }
+
+    def covering(self, held, wanted):
+        if held is wanted:
+            return held
+        pair = self.COMBINE.get((held.value, wanted.value)) or self.COMBINE[(wanted.value, held.value)]
+        return LockMode(pair)
+
+    def check_books(self, lm):
+        for resource, state in lm._locks.items():
+            holders = state.holders
+            for a, mode_a in holders.items():
+                assert not self.scan_conflicts(holders, a, mode_a), (resource, holders)
+                assert resource in lm._held_by_txn[a]
+            mask = 0
+            for mode in holders.values():
+                mask |= mode.bit
+            assert state.mask == mask, (resource, holders, state.mask)
+            assert state.counts == [
+                sum(1 for m in holders.values() if m is mode) for mode in LockMode
+            ]
+            pending = [w for w in state.queue if not w.future.done]
+            assert pending == list(state.queue)
+            if pending:
+                head = pending[0]
+                # Nothing a release could have granted is left waiting.
+                assert self.scan_conflicts(holders, head.tid, head.mode), (resource, holders, head)
+            for position, waiter in enumerate(pending):
+                assert resource in lm._waiting_by_txn[waiter.tid]
+                ahead = {w.tid for w in pending[:position] if w.tid != waiter.tid}
+                expected = self.scan_conflicts(holders, waiter.tid, waiter.mode) | ahead
+                # Never a spurious edge.  An edge can be missing, though:
+                # see test_upgrade_grant_refreshes_edges_of_waiters.
+                assert lm._waits_for[waiter.tid] <= expected
+
+    def test_grants_and_waits_match_holder_scan(self, env):
+        import random
+
+        rng = random.Random(7)
+        lm = LockManager(env)
+        rows = [("row", t, k) for t in ("t", "u") for k in range(3)]
+        tables = [("table", "t"), ("table", "u")]
+        waiting = {}  # tid -> the future it is blocked on
+        live = set()
+        upgrades = set()
+        granted_modes = set()
+        for step in range(3000):
+            tid = rng.randrange(10)
+            if tid in live and rng.random() < 0.2:
+                lm.release_all(tid)
+                live.discard(tid)
+                waiting.pop(tid, None)
+            elif tid not in waiting:
+                if rng.random() < 0.5:
+                    resource = rng.choice(tables)
+                    mode = rng.choice([LockMode.IS, LockMode.IX, LockMode.IS,
+                                       LockMode.IX, LockMode.S, LockMode.X])
+                else:
+                    resource = rng.choice(rows)
+                    mode = rng.choice([LockMode.S, LockMode.X])
+                state = lm._locks.get(resource)
+                holders = dict(state.holders) if state else {}
+                queued = bool(state and state.queue)
+                held = holders.get(tid)
+                wanted = mode if held is None else self.covering(held, mode)
+                upgrade = held is not None and wanted is not held
+                if upgrade:
+                    upgrades.add((held, mode))
+                expect_grant = held is wanted or (
+                    not self.scan_conflicts(holders, tid, wanted) and (upgrade or not queued)
+                )
+                fut = lm.acquire(tid, resource, mode)
+                live.add(tid)
+                if expect_grant:
+                    assert fut.done and not fut.failed, (step, resource, holders)
+                    assert lm.holders(resource)[tid] is wanted
+                    granted_modes.add(wanted)
+                else:
+                    assert not fut.done or fut.failed, (step, resource, holders)
+                    waiting[tid] = fut
+            env.run()
+            # Waits end by a grant or, for a deadlock victim, by an abort.
+            for waiter, fut in list(waiting.items()):
+                if fut.failed:
+                    assert isinstance(fut.exception(), DeadlockAbort)
+                    lm.release_all(waiter)
+                    live.discard(waiter)
+                if fut.done:
+                    del waiting[waiter]
+            env.run()
+            self.check_books(lm)
+        assert granted_modes == set(LockMode)
+        for needed in [(LockMode.S, LockMode.X), (LockMode.IS, LockMode.IX),
+                       (LockMode.IS, LockMode.S), (LockMode.IS, LockMode.X),
+                       (LockMode.IX, LockMode.S), (LockMode.IX, LockMode.X)]:
+            assert needed in upgrades, needed
+        assert lm.stats.deadlocks > 0 and lm.stats.waited > 0
+        for tid in list(live):
+            lm.release_all(tid)
+        env.run()
+        assert lm._locks == {}
+        assert lm._waiting_by_txn == {}
+        assert lm._waits_for == {}
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "an upgrade granted at once, ahead of the queue, adds a blocker to "
+        "the waiters without refreshing their waits-for edges, so a cycle "
+        "through it is found only at the resource's next release"))
+    def test_upgrade_grant_refreshes_edges_of_waiters(self, env, lm):
+        table = ("table", "t")
+        lm.acquire(1, table, LockMode.IS)
+        lm.acquire(4, table, LockMode.IX)
+        lm.acquire(2, "a", LockMode.X)
+        scan = lm.acquire(2, table, LockMode.S)  # waits on 4
+        assert not scan.done
+        assert lm.acquire(1, table, LockMode.IX).done  # IS -> IX, at once
+        closing = lm.acquire(1, "a", LockMode.X)  # 1 -> 2 -> 1
+        env.run()
+        assert scan.failed or closing.failed
